@@ -116,21 +116,54 @@
 //! cache hit/miss counters remain live because `cache_stats()` predates
 //! the registry.
 //!
+//! # Connections, flushing and limits
+//!
 //! Each accepted connection is served by its own thread; queries pin one
 //! snapshot per request, so a multi-line `SUBGRAPH` answer is internally
 //! consistent even while the writer publishes new epochs mid-response.
+//!
+//! Replies collect in an 8 KiB write buffer that is flushed only when
+//! the read buffer holds no further complete request: no `\n` in text
+//! mode, fewer bytes than the next length prefix announces in binary
+//! mode. A pipelined burst is answered with one write, and the server
+//! always flushes before it can block waiting for input. Both ends set
+//! `TCP_NODELAY`, so a reply that spills past the write buffer is not
+//! held back by Nagle's algorithm waiting for the peer's delayed ACK.
+//!
+//! Every limit is a constant:
+//!
+//! - At most 256 connections are served at once. One over the cap gets a
+//!   single `ERR server busy` line and is closed; a slot frees when its
+//!   connection thread ends, however it ends.
+//! - A text request line holds at most 1 KiB before its `\n` (the longest
+//!   legal line is 73 bytes). A longer one earns `ERR line too long` and
+//!   ends the connection.
+//! - A binary request frame announces at most 25 bytes, the size of
+//!   `MEMBERS`, the largest legal request. A longer prefix ends the
+//!   connection without allocating it. Reply frames may reach 64 MiB, the
+//!   most [`BinaryWireClient`] reads; a larger answer is sent as an `ERR`
+//!   reply instead.
+//! - A request must arrive whole within 5 s of its first byte, and each
+//!   reply write must make progress within 5 s; otherwise the connection
+//!   ends. A connection idle between requests stays open.
+//!
+//! Request-side memory per connection is therefore fixed: an 8 KiB read
+//! buffer, an 8 KiB write buffer and at most 1 KiB of line (25 bytes of
+//! frame in binary mode), about 17 KiB, or about 4.3 MiB at the
+//! connection cap, plus thread stacks. Reply sizes follow the answer,
+//! never a length the client sent.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dkcore_graph::NodeId;
+use dkcore_graph::{Graph, NodeId};
 use dkcore_metrics::{Counter, EventKind, Histogram, Telemetry};
 
 use crate::view::{CoreQuery, CoreScan, SnapshotSource};
@@ -146,10 +179,29 @@ const OP_QUIT: u8 = 8;
 const OP_METRICS: u8 = 9;
 const OP_EVENTS: u8 = 10;
 
-/// Upper bound on a single frame, request or response. Far above any
-/// legitimate answer; a length past this is a corrupt or hostile stream
-/// and the connection is dropped rather than the allocation attempted.
+/// Upper bound on a reply frame. Far above any legitimate answer: the
+/// server sends a larger answer as an `ERR` reply, and the client drops
+/// a connection announcing more rather than attempt the allocation.
 const MAX_FRAME: usize = 64 << 20;
+
+/// Upper bound on a request frame: `MEMBERS` (`u32 req_id`, `u8 opcode`,
+/// `u32 k`, `u64 offset`, `u64 limit`), the largest legal request.
+const MAX_REQUEST: usize = 25;
+
+/// Upper bound on a text request line, excluding its `\n`. The longest
+/// legal line, `MEMBERS` with three maximal numbers, is 73 bytes.
+const MAX_LINE: usize = 1 << 10;
+
+/// Connections served at once; one more is turned away.
+const MAX_CONNECTIONS: usize = 256;
+
+/// Time a request may take to arrive whole, from its first byte, and a
+/// reply write may block without progress.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Read timeout of a connection socket: how often a blocked read checks
+/// the stop flag and the request deadline.
+const READ_TICK: Duration = Duration::from_millis(200);
 
 /// Point-in-time statistics for a server's `(epoch, query)` response
 /// cache, from [`WireServer::cache_stats`].
@@ -366,13 +418,16 @@ pub struct WireServer {
 /// [`ServiceHandle`](crate::ServiceHandle) or a sharded
 /// [`ShardedHandle`](crate::ShardedHandle); the protocol is identical.
 ///
-/// Robustness contract (regression-tested by
-/// `killing_a_client_mid_subgraph_leaves_the_listener_healthy`): no
-/// client behavior can wedge the listener. An abrupt disconnect
-/// mid-response surfaces as a write-side `BrokenPipe`/`ConnectionReset`
-/// `io::Error` that ends only that connection; a panic inside a
-/// connection thread is caught at the thread boundary (no shared state
-/// is held across request handling, so nothing can be poisoned); and a
+/// Robustness contract (regression-tested here and by the
+/// `wire_hostile` suite): no client behavior can wedge the listener or
+/// grow a connection's memory past the bounds in the
+/// [module docs](self). An abrupt disconnect mid-response surfaces as a
+/// write-side `BrokenPipe`/`ConnectionReset` `io::Error` that ends only
+/// that connection; so do an oversized request and a request or reply
+/// stalled past the deadline. A panic inside a connection thread is
+/// caught at the thread boundary (no shared state is held across
+/// request handling, so nothing can be poisoned); a connection over the
+/// cap is turned away without blocking the accept loop; and a
 /// connection-thread *spawn* failure under resource exhaustion drops
 /// that one connection instead of unwinding the accept loop.
 ///
@@ -388,48 +443,92 @@ pub fn serve<S: SnapshotSource, A: ToSocketAddrs>(handle: S, addr: A) -> io::Res
     let wire_metrics = Arc::new(WireMetrics::register(&tel));
     let accept_stop = stop.clone();
     let accept_cache = cache.clone();
-    let accept_thread = std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            if accept_stop.load(Ordering::Acquire) {
-                break;
+    let live = Arc::new(AtomicUsize::new(0));
+    let accept_thread = std::thread::Builder::new()
+        .name("dkcore-wire-accept".into())
+        .spawn(move || {
+            for conn in listener.incoming() {
+                if accept_stop.load(Ordering::Acquire) {
+                    break;
+                }
+                let Ok(stream) = conn else { continue };
+                // Only this loop takes slots, so the check cannot race
+                // past the cap; connection threads only give them back.
+                // The count publishes no other data: `Relaxed` suffices.
+                if live.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+                    refuse(&stream);
+                    continue;
+                }
+                live.fetch_add(1, Ordering::Relaxed);
+                let slot = Slot(live.clone());
+                let handle = handle.clone();
+                let stop = accept_stop.clone();
+                let cache = accept_cache.clone();
+                let wire_metrics = wire_metrics.clone();
+                // Builder::spawn (not thread::spawn): a spawn failure under
+                // fd/thread exhaustion must drop this connection (and its
+                // slot, with the closure), not panic the accept loop and
+                // silently wedge the listener.
+                let spawned = std::thread::Builder::new()
+                    .name("dkcore-wire-conn".into())
+                    .spawn(move || {
+                        let _slot = slot;
+                        serve_contained(stream, &handle, &stop, &cache, &wire_metrics);
+                    });
+                drop(spawned); // Err(_) = connection dropped, listener lives on.
             }
-            let Ok(stream) = conn else { continue };
-            let handle = handle.clone();
-            let stop = accept_stop.clone();
-            let cache = accept_cache.clone();
-            let wire_metrics = wire_metrics.clone();
-            // Builder::spawn (not thread::spawn): a spawn failure under
-            // fd/thread exhaustion must drop this connection, not panic
-            // the accept loop and silently wedge the listener.
-            let spawned = std::thread::Builder::new()
-                .name("dkcore-wire-conn".into())
-                .spawn(move || {
-                    // Connection I/O errors end that connection; a panic
-                    // (always a bug, but contained) must not take anything
-                    // else with it — there is nothing to poison because
-                    // each request pins its own immutable snapshot. The
-                    // payload is logged so the bug is debuggable.
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        let _ = serve_connection(stream, &handle, &stop, &cache, &wire_metrics);
-                    }));
-                    if let Err(payload) = result {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        eprintln!("dkcore-wire: connection thread panicked (contained): {msg}");
-                    }
-                });
-            drop(spawned); // Err(_) = connection dropped, listener lives on.
-        }
-    });
+        })?;
     Ok(WireServer {
         addr,
         stop,
         cache,
         accept_thread: Some(accept_thread),
     })
+}
+
+/// One connection slot under [`MAX_CONNECTIONS`], given back on drop:
+/// when the connection thread ends, by any path, or with the closure of
+/// a thread that failed to spawn.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Turns away a connection over the cap with one `ERR server busy`
+/// line. The socket is non-blocking, so the accept loop never waits on
+/// this client; a fresh socket's send buffer takes the line whole.
+fn refuse(mut stream: &TcpStream) {
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = stream.write_all(b"ERR server busy\n");
+    }
+}
+
+/// Serves one connection on its own thread. Connection I/O errors end
+/// that connection; a panic (always a bug, but contained) must not take
+/// anything else with it — there is nothing to poison because each
+/// request pins its own immutable snapshot. The payload is logged so
+/// the bug is debuggable.
+fn serve_contained<S: SnapshotSource>(
+    stream: TcpStream,
+    handle: &S,
+    stop: &Arc<AtomicBool>,
+    cache: &ResponseCache,
+    wire: &WireMetrics,
+) {
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let _ = serve_connection(stream, handle, stop, cache, wire);
+    }));
+    if let Err(payload) = result {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        eprintln!("dkcore-wire: connection thread panicked (contained): {msg}");
+    }
 }
 
 impl WireServer {
@@ -496,7 +595,7 @@ fn request_stop(stop: &AtomicBool, addr: SocketAddr) {
 /// shutdown — so a client never loses a response it was owed. The stop
 /// flag is observed between requests via a read timeout, which also
 /// lets *idle* connections wind down shortly after shutdown instead of
-/// blocking in `read_line` forever.
+/// blocking in a read forever.
 fn serve_connection<S: SnapshotSource>(
     stream: TcpStream,
     handle: &S,
@@ -505,31 +604,29 @@ fn serve_connection<S: SnapshotSource>(
     wire: &WireMetrics,
 ) -> io::Result<()> {
     let peer_addr = stream.local_addr()?;
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(READ_TICK))?;
+    stream.set_write_timeout(Some(REQUEST_DEADLINE))?;
+    let mut reader = RequestReader::new(&stream, stop);
+    let mut writer = BufWriter::new(&stream);
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return Ok(()), // EOF
-                Ok(_) => break,         // full line: always answer it
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // Idle tick: partial bytes (if any) stay in `line`.
-                    if stop.load(Ordering::Acquire) {
-                        return Ok(());
-                    }
-                }
-                Err(e) => return Err(e),
-            }
+        if !reader.holds_line() {
+            writer.flush()?;
         }
-        let request = line.trim();
+        match reader.read_line(&mut line)? {
+            Line::Request => {}
+            Line::TooLong => {
+                writer.write_all(b"ERR line too long\n")?;
+                return writer.flush();
+            }
+            Line::End => return Ok(()),
+        }
+        let Ok(request) = std::str::from_utf8(&line) else {
+            writer.write_all(b"ERR request is not UTF-8\n")?;
+            continue;
+        };
+        let request = request.trim();
         if request.is_empty() {
             continue;
         }
@@ -608,8 +705,7 @@ fn serve_connection<S: SnapshotSource>(
                 Some("TEXT") => writeln!(writer, "OK proto=2 mode=text")?,
                 Some("BINARY") => {
                     writeln!(writer, "OK proto=2 mode=binary")?;
-                    writer.flush()?;
-                    return serve_binary(&mut reader, &mut writer, handle, stop, cache, wire);
+                    return serve_binary(&mut reader, &mut writer, handle, cache, wire);
                 }
                 Some(other) => {
                     writeln!(
@@ -637,7 +733,6 @@ fn serve_connection<S: SnapshotSource>(
             }
         }
         wire.finish(timer);
-        writer.flush()?;
     }
 }
 
@@ -671,13 +766,9 @@ fn answer_text<V: CoreScan + ?Sized>(verb: &str, args: &[&str], snap: &V) -> Str
             );
         }
         "CORENESS" => match parse_u32_arg("CORENESS", args.first()) {
-            Ok(v) => match snap.coreness(NodeId(v)) {
-                Some(c) => {
-                    let _ = writeln!(
-                        out,
-                        "OK epoch={epoch} coreness={c} degree={}",
-                        snap.degree(NodeId(v)).expect("in range with coreness")
-                    );
+            Ok(v) => match snap.coreness(NodeId(v)).zip(snap.degree(NodeId(v))) {
+                Some((c, d)) => {
+                    let _ = writeln!(out, "OK epoch={epoch} coreness={c} degree={d}");
                 }
                 None => {
                     let _ = writeln!(out, "ERR node {v} out of range");
@@ -717,7 +808,7 @@ fn answer_text<V: CoreScan + ?Sized>(verb: &str, args: &[&str], snap: &V) -> Str
         },
         "SUBGRAPH" => match parse_u32_arg("SUBGRAPH", args.first()) {
             Ok(k) => {
-                let cached = snap.kcore_subgraph_cached(k);
+                let cached = subgraph(snap, k);
                 let (sub, back) = &*cached;
                 let _ = writeln!(
                     out,
@@ -770,6 +861,13 @@ fn answer_text<V: CoreScan + ?Sized>(verb: &str, args: &[&str], snap: &V) -> Str
         }
     }
     out
+}
+
+/// The memoized k-core subgraph for `k`. Every `k` past the top shell
+/// has the same empty answer, so they share one memo entry: a client
+/// cannot grow the snapshot's memo by asking for many large `k`s.
+fn subgraph<V: CoreScan + ?Sized>(snap: &V, k: u32) -> Arc<(Graph, Vec<NodeId>)> {
+    snap.kcore_subgraph_cached(k.min(snap.max_coreness().saturating_add(1)))
 }
 
 /// Parses a required leading `u32` argument with the legacy error
@@ -855,49 +953,193 @@ fn parse_topk_args(args: &[&str]) -> Result<(u32, Option<usize>), String> {
 }
 
 // ---------------------------------------------------------------------
+// Request reading, both modes
+// ---------------------------------------------------------------------
+
+/// The read side of one connection: the socket behind an 8 KiB buffer,
+/// the server's stop flag and the request deadline. Nothing here is
+/// sized by what the client sends.
+struct RequestReader<'a> {
+    inner: BufReader<&'a TcpStream>,
+    stop: &'a AtomicBool,
+    /// When the request being read was first found buffered; `None`
+    /// between requests, which may idle as long as they like.
+    started: Option<Instant>,
+}
+
+/// What [`RequestReader::fill`] found.
+enum Fill {
+    /// Request bytes are buffered.
+    Data,
+    /// The client closed its side.
+    Eof,
+    /// The stop flag was raised while the reader waited.
+    Stop,
+}
+
+/// One outcome of [`RequestReader::read_line`].
+enum Line {
+    /// A request line, its `\n` stripped (or unterminated at EOF).
+    Request,
+    /// The line ran past [`MAX_LINE`] bytes.
+    TooLong,
+    /// EOF or the stop flag, with no request pending.
+    End,
+}
+
+impl<'a> RequestReader<'a> {
+    fn new(stream: &'a TcpStream, stop: &'a AtomicBool) -> Self {
+        RequestReader {
+            inner: BufReader::new(stream),
+            stop,
+            started: None,
+        }
+    }
+
+    /// Waits until a byte is buffered, reading the socket only when the
+    /// buffer is empty. A wait checks the stop flag every [`READ_TICK`];
+    /// once a request has begun, every call checks its deadline, so a
+    /// client trickling bytes cannot hold a request open either.
+    fn fill(&mut self) -> io::Result<Fill> {
+        loop {
+            if self.started.is_some_and(|t| t.elapsed() > REQUEST_DEADLINE) {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "request deadline passed",
+                ));
+            }
+            match self.inner.fill_buf() {
+                Ok([]) => return Ok(Fill::Eof),
+                Ok(_) => {
+                    self.started.get_or_insert_with(Instant::now);
+                    return Ok(Fill::Data);
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    if self.stop.load(Ordering::Acquire) {
+                        return Ok(Fill::Stop);
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Whether a whole request line is already buffered.
+    fn holds_line(&self) -> bool {
+        self.inner.buffer().contains(&b'\n')
+    }
+
+    /// Reads the next request line into `line`, without its `\n`,
+    /// holding at most [`MAX_LINE`] bytes of it. At the stop flag a
+    /// partial line is dropped; at EOF it is still a request.
+    fn read_line(&mut self, line: &mut Vec<u8>) -> io::Result<Line> {
+        line.clear();
+        self.started = None;
+        loop {
+            match self.fill()? {
+                Fill::Data => {}
+                Fill::Eof if !line.is_empty() => return Ok(Line::Request),
+                Fill::Eof | Fill::Stop => return Ok(Line::End),
+            }
+            let buf = self.inner.buffer();
+            let newline = buf.iter().position(|&b| b == b'\n');
+            let chunk = &buf[..newline.unwrap_or(buf.len())];
+            if line.len() + chunk.len() > MAX_LINE {
+                return Ok(Line::TooLong);
+            }
+            line.extend_from_slice(chunk);
+            let used = chunk.len() + usize::from(newline.is_some());
+            self.inner.consume(used);
+            if newline.is_some() {
+                return Ok(Line::Request);
+            }
+        }
+    }
+
+    /// Whether the whole next request frame, of a legal length, is
+    /// already buffered.
+    fn holds_frame(&self) -> bool {
+        let buf = self.inner.buffer();
+        buf.first_chunk::<4>().is_some_and(|prefix| {
+            let len = usize::try_from(u32::from_le_bytes(*prefix)).unwrap_or(usize::MAX);
+            len <= MAX_REQUEST && buf.len() >= 4 + len
+        })
+    }
+
+    /// Reads the next request frame into `frame` and returns its
+    /// payload. `Ok(None)` ends the connection cleanly: EOF at a frame
+    /// boundary, or the stop flag (a torn frame at shutdown is dropped).
+    /// A length prefix past [`MAX_REQUEST`] is an `InvalidData` error,
+    /// raised before any of the frame is read.
+    fn read_frame<'f>(&mut self, frame: &'f mut [u8; MAX_REQUEST]) -> io::Result<Option<&'f [u8]>> {
+        self.started = None;
+        let mut prefix = [0u8; 4];
+        if !self.read_exact(&mut prefix)? {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes(prefix);
+        let Some(payload) = usize::try_from(len).ok().and_then(|n| frame.get_mut(..n)) else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("request frame of {len} bytes exceeds {MAX_REQUEST}"),
+            ));
+        };
+        if !self.read_exact(payload)? {
+            return Ok(None);
+        }
+        Ok(Some(&*payload))
+    }
+
+    /// Fills `buf` with the next bytes of the current request. `Ok(false)`
+    /// is a clean end: EOF before the request's first byte, or the stop
+    /// flag. EOF inside the request is an `UnexpectedEof` error: the peer
+    /// violated the framing.
+    fn read_exact(&mut self, buf: &mut [u8]) -> io::Result<bool> {
+        let mut filled = 0;
+        while filled < buf.len() {
+            match self.fill()? {
+                Fill::Data => filled += self.inner.read(&mut buf[filled..])?,
+                Fill::Eof if self.started.is_none() => return Ok(false),
+                Fill::Eof => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-frame",
+                    ))
+                }
+                Fill::Stop => return Ok(false),
+            }
+        }
+        Ok(true)
+    }
+}
+
+// ---------------------------------------------------------------------
 // Binary framed mode: server side
 // ---------------------------------------------------------------------
 
-/// Reads exactly `buf.len()` bytes, riding out the 200ms read-timeout
-/// ticks the connection uses to observe the stop flag. Returns
-/// `Ok(false)` on a clean end of stream — EOF at a frame boundary, or
-/// the stop flag raised mid-wait (a torn frame at shutdown is dropped;
-/// fully-buffered frames were already processed). EOF *inside* a frame
-/// is an `UnexpectedEof` error: the peer violated the framing.
-fn read_full<R: Read>(reader: &mut R, buf: &mut [u8], stop: &AtomicBool) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(false);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
+/// Bytes of a reply frame before its payload: `u32 req_id`, `u8 status`,
+/// `u64 epoch`.
+const REPLY_HEADER: usize = 13;
 
 /// Encodes a response body: `u8 status`, `u64 epoch`, payload. The
 /// `req_id` is *not* part of the body so cached bodies can be replayed
-/// under any request id.
+/// under any request id. A payload too large for a [`MAX_FRAME`] reply
+/// becomes an `ERR` body: the client would refuse the frame.
 fn encode_body(status: u8, epoch: u64, payload: &[u8]) -> Vec<u8> {
+    if REPLY_HEADER + payload.len() > MAX_FRAME {
+        let msg = format!(
+            "reply of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
+            payload.len()
+        );
+        return encode_body(1, epoch, msg.as_bytes());
+    }
     let mut body = Vec::with_capacity(9 + payload.len());
     body.push(status);
     put_u64(&mut body, epoch);
@@ -907,8 +1149,9 @@ fn encode_body(status: u8, epoch: u64, payload: &[u8]) -> Vec<u8> {
 
 /// Writes one response frame: `u32 len`, `u32 req_id`, body.
 fn write_frame<W: Write>(w: &mut W, req_id: u32, body: &[u8]) -> io::Result<()> {
-    let len = 4 + body.len();
-    w.write_all(&u32::try_from(len).expect("frame under 4 GiB").to_le_bytes())?;
+    let len = u32::try_from(4 + body.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "reply frame over 4 GiB"))?;
+    w.write_all(&len.to_le_bytes())?;
     w.write_all(&req_id.to_le_bytes())?;
     w.write_all(body)
 }
@@ -918,33 +1161,28 @@ fn write_frame<W: Write>(w: &mut W, req_id: u32, body: &[u8]) -> io::Result<()> 
 /// `req_id`), each from its own pinned snapshot; a client may keep any
 /// number of requests in flight.
 fn serve_binary<S: SnapshotSource>(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
+    reader: &mut RequestReader<'_>,
+    writer: &mut BufWriter<&TcpStream>,
     handle: &S,
-    stop: &AtomicBool,
     cache: &ResponseCache,
     wire: &WireMetrics,
 ) -> io::Result<()> {
-    let mut len_buf = [0u8; 4];
-    let mut frame = Vec::new();
+    let mut frame = [0u8; MAX_REQUEST];
     loop {
-        if !read_full(reader, &mut len_buf, stop)? {
-            return Ok(());
+        if !reader.holds_frame() {
+            writer.flush()?;
         }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if !(5..=MAX_FRAME).contains(&len) {
+        let Some(payload) = reader.read_frame(&mut frame)? else {
+            return Ok(());
+        };
+        let mut cur = Decoder { buf: payload };
+        let (Ok(req_id), Ok(opcode)) = (cur.u32(), cur.u8()) else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("bad frame length {len}"),
+                format!("request frame of {} bytes has no header", payload.len()),
             ));
-        }
-        frame.resize(len, 0);
-        if !read_full(reader, &mut frame, stop)? {
-            return Ok(()); // torn frame at shutdown: drop it
-        }
-        let req_id = u32::from_le_bytes(frame[0..4].try_into().expect("sliced 4 bytes"));
-        let opcode = frame[4];
-        let args = &frame[5..];
+        };
+        let args = cur.buf;
         let timer = wire.start(WireMetrics::opcode_index(opcode));
         match opcode {
             OP_QUIT => {
@@ -975,7 +1213,7 @@ fn serve_binary<S: SnapshotSource>(
                 write_frame(writer, req_id, &body)?;
             }
             OP_EVENTS => {
-                let mut cur = Decoder { buf: args, at: 0 };
+                let mut cur = Decoder { buf: args };
                 let parsed = cur.u64().and_then(|since| {
                     let limit = cur.u64()?;
                     cur.finish()?;
@@ -1017,7 +1255,6 @@ fn serve_binary<S: SnapshotSource>(
             }
         }
         wire.finish(timer);
-        writer.flush()?;
     }
 }
 
@@ -1038,7 +1275,7 @@ fn answer_binary_ok<V: CoreScan + ?Sized>(
     args: &[u8],
     snap: &V,
 ) -> Result<Vec<u8>, String> {
-    let mut cur = Decoder { buf: args, at: 0 };
+    let mut cur = Decoder { buf: args };
     let mut payload = Vec::new();
     match opcode {
         OP_EPOCH => {
@@ -1050,14 +1287,12 @@ fn answer_binary_ok<V: CoreScan + ?Sized>(
         OP_CORENESS => {
             let v = cur.u32()?;
             cur.finish()?;
-            let c = snap
+            let (c, d) = snap
                 .coreness(NodeId(v))
+                .zip(snap.degree(NodeId(v)))
                 .ok_or_else(|| format!("node {v} out of range"))?;
             put_u32(&mut payload, c);
-            put_u32(
-                &mut payload,
-                snap.degree(NodeId(v)).expect("in range with coreness"),
-            );
+            put_u32(&mut payload, d);
         }
         OP_MEMBERS => {
             let k = cur.u32()?;
@@ -1079,7 +1314,7 @@ fn answer_binary_ok<V: CoreScan + ?Sized>(
         OP_SUBGRAPH => {
             let k = cur.u32()?;
             cur.finish()?;
-            let cached = snap.kcore_subgraph_cached(k);
+            let cached = subgraph(snap, k);
             let (sub, back) = &*cached;
             put_u64(&mut payload, sub.node_count() as u64);
             put_u64(&mut payload, sub.edge_count() as u64);
@@ -1128,41 +1363,34 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 
 /// Little-endian cursor over a frame's argument/payload bytes.
 struct Decoder<'a> {
+    /// The bytes not yet decoded.
     buf: &'a [u8],
-    at: usize,
 }
 
 impl Decoder<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let (bytes, rest) = self.buf.split_first_chunk::<N>().ok_or("truncated frame")?;
+        self.buf = rest;
+        Ok(*bytes)
+    }
+
+    fn u8(&mut self) -> Result<u8, String> {
+        self.take().map(|[b]| b)
+    }
+
     fn u32(&mut self) -> Result<u32, String> {
-        let bytes: [u8; 4] = self
-            .buf
-            .get(self.at..self.at + 4)
-            .ok_or("truncated frame")?
-            .try_into()
-            .expect("sliced 4 bytes");
-        self.at += 4;
-        Ok(u32::from_le_bytes(bytes))
+        self.take().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, String> {
-        let bytes: [u8; 8] = self
-            .buf
-            .get(self.at..self.at + 8)
-            .ok_or("truncated frame")?
-            .try_into()
-            .expect("sliced 8 bytes");
-        self.at += 8;
-        Ok(u64::from_le_bytes(bytes))
+        self.take().map(u64::from_le_bytes)
     }
 
     fn finish(&self) -> Result<(), String> {
-        if self.at == self.buf.len() {
+        if self.buf.is_empty() {
             Ok(())
         } else {
-            Err(format!(
-                "{} trailing bytes after arguments",
-                self.buf.len() - self.at
-            ))
+            Err(format!("{} trailing bytes after arguments", self.buf.len()))
         }
     }
 }
@@ -1230,6 +1458,7 @@ impl WireClient {
     /// Returns the underlying connection error.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(WireClient {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
@@ -1247,6 +1476,7 @@ impl WireClient {
     /// Returns the underlying connection or socket-option error.
     pub fn connect_with<A: ToSocketAddrs>(addr: A, policy: &RetryPolicy) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(policy.io_timeout))?;
         stream.set_write_timeout(Some(policy.io_timeout))?;
         Ok(WireClient {
@@ -1588,10 +1818,7 @@ impl BinResponse {
     }
 
     fn ok_decoder(&self) -> Option<Decoder<'_>> {
-        self.ok.then_some(Decoder {
-            buf: &self.payload,
-            at: 0,
-        })
+        self.ok.then_some(Decoder { buf: &self.payload })
     }
 }
 
@@ -1615,14 +1842,12 @@ impl BinaryWireClient {
     pub fn send(&mut self, req: &BinRequest) -> io::Result<u32> {
         let req_id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
-        let mut payload = Vec::with_capacity(32);
+        let mut payload = Vec::with_capacity(MAX_REQUEST);
         payload.extend_from_slice(&req_id.to_le_bytes());
         req.encode(&mut payload);
-        self.writer.write_all(
-            &u32::try_from(payload.len())
-                .expect("small frame")
-                .to_le_bytes(),
-        )?;
+        let len = u32::try_from(payload.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "request frame over 4 GiB"))?;
+        self.writer.write_all(&len.to_le_bytes())?;
         self.writer.write_all(&payload)?;
         Ok(req_id)
     }
@@ -1637,7 +1862,7 @@ impl BinaryWireClient {
         let mut len_buf = [0u8; 4];
         self.reader.read_exact(&mut len_buf)?;
         let len = u32::from_le_bytes(len_buf) as usize;
-        if !(13..=MAX_FRAME).contains(&len) {
+        if len > MAX_FRAME {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("bad response frame length {len}"),
@@ -1645,14 +1870,19 @@ impl BinaryWireClient {
         }
         let mut frame = vec![0u8; len];
         self.reader.read_exact(&mut frame)?;
-        let req_id = u32::from_le_bytes(frame[0..4].try_into().expect("sliced 4 bytes"));
-        let ok = frame[4] == 0;
-        let epoch = u64::from_le_bytes(frame[5..13].try_into().expect("sliced 8 bytes"));
+        let mut cur = Decoder { buf: &frame };
+        let header = (cur.u32(), cur.u8(), cur.u64());
+        let (Ok(req_id), Ok(status), Ok(epoch)) = header else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("bad response frame length {len}"),
+            ));
+        };
         Ok(BinResponse {
             req_id,
-            ok,
+            ok: status == 0,
             epoch,
-            payload: frame[13..].to_vec(),
+            payload: cur.buf.to_vec(),
         })
     }
 
@@ -1748,6 +1978,9 @@ mod tests {
         assert!(c.request("MEMBERS 2 OFFSET").unwrap().starts_with("ERR"));
         assert!(c.request("TOPK 2 OFFSET x").unwrap().starts_with("ERR"));
         assert!(c.request("HELLO MORSE").unwrap().starts_with("ERR"));
+        c.writer.write_all(b"CORENESS \xff\n").unwrap();
+        c.writer.flush().unwrap();
+        assert_eq!(c.read_line().unwrap(), "ERR request is not UTF-8");
         // Still serving after all those errors.
         assert!(c.request("EPOCH").unwrap().starts_with("OK epoch=1"));
     }
@@ -2336,5 +2569,94 @@ mod tests {
         assert_eq!(err.req_id, 99);
         assert!(err.text().unwrap().contains("truncated frame"));
         assert!(bin.roundtrip(&BinRequest::Epoch).unwrap().ok);
+    }
+
+    #[test]
+    fn pipelined_bursts_are_answered_without_a_delayed_ack_stall() {
+        // A burst's replies must leave together. Flushed one by one
+        // under Nagle, every reply after the first waits for the
+        // client's delayed ACK: about 40 ms a burst.
+        let (_svc, server) = service_on_cycle();
+        let mut bin = WireClient::connect(server.local_addr())
+            .unwrap()
+            .into_binary()
+            .unwrap();
+        let mut round_trips: Vec<Duration> = (0..50u32)
+            .map(|burst| {
+                let t0 = Instant::now();
+                let ids: Vec<u32> = (0..8)
+                    .map(|i| bin.send(&BinRequest::Coreness((burst + i) % 6)).unwrap())
+                    .collect();
+                for id in ids {
+                    let r = bin.recv().unwrap();
+                    assert_eq!(r.req_id, id);
+                    assert_eq!(r.coreness(), Some((2, 2)));
+                }
+                t0.elapsed()
+            })
+            .collect();
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(10),
+            "median burst round trip {median:?}"
+        );
+    }
+
+    #[test]
+    fn a_partial_request_does_not_hold_back_the_replies_before_it() {
+        // The server must flush before it blocks on the rest of a
+        // request; otherwise a client that waits for the first reply
+        // before finishing the second deadlocks. Reads time out after
+        // 1 s, so a held reply fails the test instead of hanging it.
+        let (_svc, server) = service_on_cycle();
+        let policy = RetryPolicy {
+            io_timeout: Duration::from_secs(1),
+            ..RetryPolicy::default()
+        };
+
+        let mut text = WireClient::connect_with(server.local_addr(), &policy).unwrap();
+        text.writer.write_all(b"CORENESS 3\nHI").unwrap();
+        text.writer.flush().unwrap();
+        assert_eq!(text.read_line().unwrap(), "OK epoch=1 coreness=2 degree=2");
+        text.writer.write_all(b"ST\n").unwrap();
+        text.writer.flush().unwrap();
+        assert_eq!(text.read_line().unwrap(), "OK epoch=1 hist=2:6");
+
+        let mut bin = WireClient::connect_with(server.local_addr(), &policy)
+            .unwrap()
+            .into_binary()
+            .unwrap();
+        let frame = |req_id: u32, v: u32| {
+            let mut f = Vec::new();
+            put_u32(&mut f, 9);
+            put_u32(&mut f, req_id);
+            f.push(OP_CORENESS);
+            put_u32(&mut f, v);
+            f
+        };
+        let second = frame(2, 4);
+        bin.writer.write_all(&frame(1, 3)).unwrap();
+        bin.writer.write_all(&second[..6]).unwrap();
+        let r = bin.recv().unwrap();
+        assert_eq!((r.req_id, r.coreness()), (1, Some((2, 2))));
+        bin.writer.write_all(&second[6..]).unwrap();
+        let r = bin.recv().unwrap();
+        assert_eq!((r.req_id, r.coreness()), (2, Some((2, 2))));
+    }
+
+    #[test]
+    fn a_reply_past_the_frame_cap_becomes_an_err_reply() {
+        // The payload is never touched on this path, so the zeroed
+        // allocation stays unbacked.
+        let huge = vec![0u8; MAX_FRAME - REPLY_HEADER + 1];
+        let body = encode_body(0, 7, &huge);
+        let mut cur = Decoder { buf: &body };
+        assert_eq!(cur.u8(), Ok(1), "status ERR");
+        assert_eq!(cur.u64(), Ok(7), "epoch kept");
+        let msg = std::str::from_utf8(cur.buf).unwrap();
+        assert!(msg.contains("exceeds the 67108864-byte frame cap"), "{msg}");
+        let fits = vec![0u8; 8];
+        assert_eq!(encode_body(0, 7, &fits).len(), 9 + 8);
     }
 }
